@@ -49,12 +49,12 @@ use engine::prelude::*;
 use perfprof::timing::{latency_summary, LatencySummary};
 use prng::{Rng, StdRng};
 use server::client::{self, ClientResponse};
-use server::{Server, ServerConfig, ServerHandle};
+use server::{CacheSettings, Server, ServerConfig, ServerHandle};
 use sparsemat::gen::ProblemKind;
 
-/// Cache capacity the server is spawned with; `cold_scan` issues more
-/// distinct configurations than this to force evictions.
-const CACHE_CAPACITY: usize = 16;
+/// Factor-cache budget of the distributed runs: the full-mode 10⁶-node
+/// factor (~33M nonzeros) outgrows the 512 MiB default.
+const DISTRIBUTED_FACTOR_BYTES: u64 = 4 << 30;
 /// The headline requirement: cached-plan p50 at least this many times lower.
 const REQUIRED_SPEEDUP: f64 = 5.0;
 
@@ -145,11 +145,33 @@ impl Violations {
     }
 }
 
-fn grid_config(nodes: usize, seed: u64) -> String {
+fn grid_engine_config(nodes: usize, seed: u64) -> EngineConfig {
     EngineConfig::generated(ProblemKind::Grid2d, nodes, seed)
         .with_ordering(OrderingMethod::NestedDissection)
         .with_memory(MemoryBudget::FractionOfPeak(0.5))
-        .to_json()
+}
+
+fn grid_config(nodes: usize, seed: u64) -> String {
+    grid_engine_config(nodes, seed).to_json()
+}
+
+/// The plan-cache byte budget of the scenario run, from measured plan
+/// footprints: room for the headline's cold plans (their hot repeats must
+/// hit) plus half the cold scan, so the scan overflows it and evicts.
+fn plan_cache_bytes(sizes: &Sizes) -> u64 {
+    let engine = Engine::new();
+    let footprint = |nodes: usize, seed: u64| {
+        engine
+            .plan(&grid_engine_config(nodes, seed))
+            .map(|plan| plan.approx_heap_bytes())
+            .unwrap_or_else(|e| {
+                eprintln!("loadgen: cannot plan a {nodes}-node probe: {e}");
+                std::process::exit(1);
+            })
+    };
+    let headline = footprint(sizes.headline_nodes, 0);
+    let scan = footprint(sizes.cold_scan_nodes, 1_000);
+    headline * sizes.headline_cold as u64 + scan * (sizes.cold_scan_requests as u64 / 2)
 }
 
 /// POST expecting a 200; records latency and cache disposition.
@@ -634,7 +656,7 @@ fn chaos(sizes: &Sizes, violations: &mut Violations) -> (ScenarioResult, String)
     // Reference pass: a fresh, fault-free server establishes the ground
     // truth every later report must match bit-for-bit (minus timings).
     engine::faultinject::clear();
-    let reference = spawn_server();
+    let reference = spawn_server(CacheSettings::default());
     let mut reference_identity = Vec::new();
     for config in &reports {
         let (_, response) = timed_post(reference.addr(), "/report", config, violations);
@@ -656,7 +678,7 @@ fn chaos(sizes: &Sizes, violations: &mut Violations) -> (ScenarioResult, String)
     });
     let rule_count = rules.len();
     engine::faultinject::install(rules);
-    let handle = spawn_server();
+    let handle = spawn_server(CacheSettings::default());
     let addr = handle.addr();
 
     let stop_poller = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -846,9 +868,9 @@ fn chaos(sizes: &Sizes, violations: &mut Violations) -> (ScenarioResult, String)
     (scenario, headline)
 }
 
-fn spawn_server() -> ServerHandle {
+fn spawn_server(cache: CacheSettings) -> ServerHandle {
     Server::spawn(ServerConfig {
-        cache_capacity: CACHE_CAPACITY,
+        cache,
         ..ServerConfig::default()
     })
     .unwrap_or_else(|e| {
@@ -948,7 +970,9 @@ fn spawn_coordinator(bin: &std::path::Path) -> (ManagedProc, SocketAddr) {
             "4",
             "--max-body-bytes",
             "1073741824",
+            "--factor-cache-bytes",
         ])
+        .arg(DISTRIBUTED_FACTOR_BYTES.to_string())
         .stdout(std::process::Stdio::piped())
         .spawn()
         .unwrap_or_else(|e| {
@@ -1178,7 +1202,10 @@ fn run_distributed_mode(sizes: &Sizes, out: Option<String>) {
 
     // Single-process ground truth: factor the same configuration in-process
     // and record the seeded-solve identity every distributed run must match.
-    let reference_server = spawn_server();
+    let reference_server = spawn_server(CacheSettings {
+        factor_bytes: DISTRIBUTED_FACTOR_BYTES,
+        ..CacheSettings::default()
+    });
     let started = Instant::now();
     // The reference factorization is subject to the same order-scaled wall
     // time as the distributed passes, so it shares their read timeout
@@ -1578,10 +1605,14 @@ fn main() {
         return;
     }
 
-    let handle = spawn_server();
+    let plan_bytes = plan_cache_bytes(sizes);
+    let handle = spawn_server(CacheSettings {
+        plan_bytes,
+        ..CacheSettings::default()
+    });
     let addr = handle.addr();
     println!(
-        "loadgen: serving on http://{addr} ({} mode, cache capacity {CACHE_CAPACITY})",
+        "loadgen: serving on http://{addr} ({} mode, plan cache {plan_bytes} bytes)",
         sizes.mode
     );
     let mut violations = Violations(Vec::new());
@@ -1605,16 +1636,15 @@ fn main() {
             std::process::exit(1);
         });
     let stats = Json::parse(&stats_body).unwrap_or(Json::Null);
-    let cache_hits = stats
-        .get("cache")
-        .and_then(|c| c.get("hits"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    let evictions = stats
-        .get("cache")
-        .and_then(|c| c.get("evictions"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
+    let plan_cache = stats.get("caches").and_then(|c| c.get("plan"));
+    let plan_counter = |name: &str| {
+        plan_cache
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    };
+    let cache_hits = plan_counter("hits");
+    let evictions = plan_counter("evictions");
     violations.check(cache_hits > 0, "server finished with zero cache hits");
     violations.check(
         evictions > 0,
@@ -1629,7 +1659,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n  \"schema\": \"bench_server/v1\",\n");
     let _ = writeln!(json, "  \"mode\": \"{}\",", sizes.mode);
-    let _ = writeln!(json, "  \"cache_capacity\": {CACHE_CAPACITY},");
+    let _ = writeln!(json, "  \"cache_bytes\": {plan_bytes},");
     json.push_str(&headline_json);
     json.push_str(&solve_json);
     json.push_str("  \"scenarios\": [\n");

@@ -15,6 +15,7 @@
 //! the ordering, elimination tree and column counts instead of recomputing
 //! them per allowance.
 
+use engine::parallel::{default_threads, par_map};
 use engine::{Engine, EngineConfig};
 use ordering::OrderingMethod;
 use sparsemat::gen::ProblemKind;
@@ -22,8 +23,6 @@ use symbolic::PipelineConfig;
 use treemem::gadgets::harpoon_tower;
 use treemem::random::{comb, nested_dissection_etree, random_chain, reweight_paper};
 use treemem::Tree;
-
-use crate::parallel::{default_threads, par_map};
 
 /// One weighted tree of the corpus, with its provenance.
 #[derive(Debug, Clone)]

@@ -22,14 +22,13 @@
 //! (prebuilt-tree plans for corpus sweeps, generated-matrix plans for the
 //! end-to-end experiments); the library part of the crate holds the shared
 //! infrastructure: corpus generation (planned through the engine, replacing
-//! the paper's UF-collection data set), timing helpers, report writing, the
-//! [`par_map`] re-export ([`parallel`], now living in `engine::parallel`)
-//! and the parallel MinIO sweep engine ([`sweep`]) that crosses {corpus ×
-//! memory budgets × registered solvers × registered eviction policies}.
+//! the paper's UF-collection data set), timing helpers, report writing and
+//! the parallel MinIO sweep engine ([`sweep`], on the
+//! [`engine::parallel::par_map`] pool) that crosses {corpus × memory
+//! budgets × registered solvers × registered eviction policies}.
 
 pub mod corpus;
 pub mod microbench;
-pub mod parallel;
 pub mod report;
 pub mod runner;
 pub mod sweep;
@@ -39,7 +38,6 @@ pub use corpus::{
     corpus_for, default_config, default_corpus, quick_config, quick_corpus, random_corpus,
     scaling_corpus, scaling_corpus_full, scaling_corpus_reduced, Corpus, CorpusTree,
 };
-pub use parallel::{default_threads, par_map};
 pub use report::{write_report, ExperimentArgs, ReportFile};
 pub use runner::{
     measurement_registry, memory_sweep, run_with_big_stack, time_it, MeasurementSet,

@@ -26,11 +26,10 @@
 //! ## The matrix
 //!
 //! Every cell is {trace × policy × capacity}: capacities are fractions of
-//! the trace's total unique bytes (1%, 3%, 10%), policies span both native
-//! online implementations (LRU, GDSF, S3FIFO) and simulation heuristics
-//! served through the [`minio::serving`] bridge (LruDist, LSNF).  Full
-//! mode adds a deep section (the `mixed` trace at 200k requests per
-//! policy) pushing the stub total past 10⁶ requests, and writes
+//! the trace's total unique bytes (1%, 3%, 10%), policies are the three
+//! serving policies (LRU, GDSF, S3FIFO).  Full mode adds a deep section
+//! (the `mixed` trace at 200k requests per policy, ~0.92M stub requests in
+//! total), and writes
 //! `BENCH_cache.json`.  Quick mode is the CI smoke: the same matrix at
 //! ~1/8 scale, byte-for-byte reproducible, checked against the committed
 //! `crates/bench/data/cache_reference.json` (replay is fully
@@ -49,9 +48,8 @@ use server::client;
 use server::{CacheSettings, Server, ServerConfig};
 use sparsemat::gen::ProblemKind;
 
-/// Policies every matrix cell crosses: native online implementations
-/// first, then simulation heuristics through the serving bridge.
-pub const MATRIX_POLICIES: [&str; 5] = ["LRU", "GDSF", "S3FIFO", "LruDist", "LSNF"];
+/// Policies every matrix cell crosses: the builtin serving policies.
+pub const MATRIX_POLICIES: [&str; 3] = ["LRU", "GDSF", "S3FIFO"];
 
 /// Capacity fractions of each trace's unique bytes.
 pub const CAPACITY_FRACTIONS: [f64; 3] = [0.01, 0.03, 0.10];
@@ -295,7 +293,6 @@ fn replay(
         CacheConfig {
             policy: policy.to_string(),
             bytes_capacity: capacity,
-            max_entries: None,
             ttl: None,
             tenant_quota_bytes: quota,
             tenant_floor: floor,
@@ -395,13 +392,13 @@ pub fn run_matrix(quick: bool) -> Vec<CellResult> {
     cells
 }
 
-/// The deep section: the `mixed` adversary at scale for the native
-/// policies, pushing the stub-request total past 10⁶ in full mode.
+/// The deep section: the `mixed` adversary at 200k requests for every
+/// matrix policy.
 pub fn run_deep() -> Vec<CellResult> {
     let n = 200_000;
     let trace = mixed_trace(n, 0xDEE9);
     let total = unique_bytes(&trace);
-    ["LRU", "GDSF", "S3FIFO"]
+    MATRIX_POLICIES
         .into_iter()
         .map(|policy| {
             let fraction = 0.03;
@@ -438,9 +435,9 @@ pub fn run_http_pass(quick: bool) -> HttpPassResult {
     let handle = Server::spawn(ServerConfig {
         workers: 2,
         cache: CacheSettings {
-            policy: Some("GDSF".to_string()),
-            plan_bytes: Some(plan_bytes * 16),
-            factor_bytes: Some(256 * 1024 * KIB),
+            policy: "GDSF".to_string(),
+            plan_bytes: plan_bytes * 16,
+            factor_bytes: 256 * 1024 * KIB,
             tenant_quota_bytes: Some(plan_bytes * 6),
             tenant_floor: 0.3,
         },

@@ -5,12 +5,8 @@
 //! factor cache are thin wrappers around this core, so admission control,
 //! tenancy and statistics behave identically everywhere.
 //!
-//! Capacity has two axes, enforceable together or alone:
-//!
-//! * a **byte budget** (`bytes_capacity`) — the production mode, sized from
-//!   per-entry footprints estimated at insert time;
-//! * an **entry bound** (`max_entries`) — the legacy mode the historical
-//!   count-LRU caches ran in, kept for compatibility and tests.
+//! Capacity is a **byte budget** (`bytes_capacity`), charged with per-entry
+//! footprints estimated at insert time.
 //!
 //! Tenancy is cooperative admission control, not isolation of values: every
 //! operation names a tenant, an entry is charged to the tenant whose miss
@@ -57,10 +53,8 @@ pub fn fingerprint64(key: &str) -> u64 {
 pub struct CacheConfig {
     /// Eviction policy name, resolved against a [`ServingPolicyRegistry`].
     pub policy: String,
-    /// Byte budget (`u64::MAX` = unbounded by bytes).
+    /// Byte budget (`u64::MAX` = unbounded).
     pub bytes_capacity: u64,
-    /// Optional entry bound (the legacy count-LRU axis).
-    pub max_entries: Option<usize>,
     /// Optional time-to-live; expired entries drop on access.
     pub ttl: Option<Duration>,
     /// Per-tenant byte quota (`None` = unlimited per tenant).
@@ -76,7 +70,6 @@ impl Default for CacheConfig {
         CacheConfig {
             policy: "LRU".to_string(),
             bytes_capacity: u64::MAX,
-            max_entries: None,
             ttl: None,
             tenant_quota_bytes: None,
             tenant_floor: 0.0,
@@ -173,6 +166,13 @@ impl<V> Inner<V> {
         id
     }
 
+    fn count_miss(&mut self, tenant_id: usize) {
+        self.misses += 1;
+        if let Some(t) = self.tenants.get_mut(tenant_id) {
+            t.misses += 1;
+        }
+    }
+
     /// Remove the slot at `pos` (swap-remove, fixing the displaced index
     /// entry) and tell the session.  Returns the removed slot.
     fn remove_at(&mut self, pos: usize) -> Slot<V> {
@@ -199,7 +199,6 @@ impl<V> Inner<V> {
 pub struct CacheCore<V> {
     policy_name: String,
     bytes_capacity: u64,
-    max_entries: Option<usize>,
     ttl: Option<Duration>,
     quota: Option<u64>,
     floor: f64,
@@ -218,7 +217,6 @@ impl<V> CacheCore<V> {
         CacheCore {
             policy_name: policy.name(),
             bytes_capacity: config.bytes_capacity.max(1),
-            max_entries: config.max_entries,
             ttl: config.ttl,
             quota: config.tenant_quota_bytes,
             floor: config.tenant_floor.clamp(0.0, 1.0),
@@ -248,28 +246,41 @@ impl<V> CacheCore<V> {
         &self.policy_name
     }
 
-    /// The byte budget (`u64::MAX` when bounded by entries only).
+    /// The byte budget (`u64::MAX` when unbounded).
     pub fn bytes_capacity(&self) -> u64 {
         self.bytes_capacity
-    }
-
-    /// The entry bound, if one is configured.
-    pub fn max_entries(&self) -> Option<usize> {
-        self.max_entries
     }
 
     /// Look up `key` for `tenant`, refreshing recency.  An expired entry is
     /// dropped and reported as a miss.
     pub fn get(&self, key: &str, tenant: &str) -> Option<Arc<V>> {
+        self.lookup(key, tenant, true)
+    }
+
+    /// [`CacheCore::get`] that counts a hit but leaves a miss to the caller
+    /// ([`CacheCore::note_miss`]): a single-flight caller may look several
+    /// times in one call and still counts as one hit or one miss.
+    pub(crate) fn probe(&self, key: &str, tenant: &str) -> Option<Arc<V>> {
+        self.lookup(key, tenant, false)
+    }
+
+    /// Count one miss for `tenant` (see [`CacheCore::probe`]).
+    pub(crate) fn note_miss(&self, tenant: &str) {
+        let mut inner = self.inner.lock();
+        let inner = &mut *inner;
+        let tenant_id = inner.tenant_id(tenant);
+        inner.count_miss(tenant_id);
+    }
+
+    fn lookup(&self, key: &str, tenant: &str, count_misses: bool) -> Option<Arc<V>> {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         inner.tick += 1;
         let now = inner.tick;
         let tenant_id = inner.tenant_id(tenant);
         let Some(&pos) = inner.index.get(key) else {
-            inner.misses += 1;
-            if let Some(t) = inner.tenants.get_mut(tenant_id) {
-                t.misses += 1;
+            if count_misses {
+                inner.count_miss(tenant_id);
             }
             return None;
         };
@@ -282,15 +293,16 @@ impl<V> CacheCore<V> {
             if expired {
                 inner.remove_at(pos);
                 inner.expirations += 1;
-                inner.misses += 1;
-                if let Some(t) = inner.tenants.get_mut(tenant_id) {
-                    t.misses += 1;
+                if count_misses {
+                    inner.count_miss(tenant_id);
                 }
                 return None;
             }
         }
         let Some(slot) = inner.slots.get_mut(pos) else {
-            inner.misses += 1;
+            if count_misses {
+                inner.count_miss(tenant_id);
+            }
             return None;
         };
         slot.last_access_tick = now;
@@ -407,8 +419,8 @@ impl<V> CacheCore<V> {
         }
     }
 
-    /// Free global space down to the byte budget and the entry bound,
-    /// respecting other tenants' fair-share floors.
+    /// Free global space down to the byte budget, respecting other
+    /// tenants' fair-share floors.
     fn evict_for_capacity(
         &self,
         inner: &mut Inner<V>,
@@ -421,11 +433,7 @@ impl<V> CacheCore<V> {
                 .bytes_used
                 .saturating_add(incoming_bytes)
                 .saturating_sub(self.bytes_capacity);
-            let over_entries = self
-                .max_entries
-                .map(|m| inner.slots.len() + 1 > m)
-                .unwrap_or(false);
-            if over_bytes == 0 && !over_entries {
+            if over_bytes == 0 {
                 return Admission::Cached;
             }
             let floor_bytes = self.floor_bytes(inner, tenant_id);
@@ -450,8 +458,7 @@ impl<V> CacheCore<V> {
                 // entry that cannot be admitted.
                 return Admission::Contended;
             }
-            let deficit = over_bytes.max(1);
-            if !self.run_eviction_round(inner, &candidates, deficit, now) {
+            if !self.run_eviction_round(inner, &candidates, over_bytes, now) {
                 return Admission::Contended;
             }
         }
@@ -558,7 +565,6 @@ impl<V> CacheCore<V> {
             evictions: inner.evictions,
             expirations: inner.expirations,
             entries: inner.slots.len(),
-            capacity: self.max_entries.unwrap_or(0),
             policy: self.policy_name.clone(),
             bytes_used: inner.bytes_used,
             bytes_capacity: self.bytes_capacity,
@@ -650,11 +656,6 @@ impl<V> CacheCore<V> {
                 "over byte capacity: {} > {}",
                 inner.bytes_used, self.bytes_capacity
             ));
-        }
-        if let Some(max) = self.max_entries {
-            if inner.slots.len() > max {
-                return Err(format!("over entry bound: {} > {max}", inner.slots.len()));
-            }
         }
         for (id, tenant) in inner.tenants.iter().enumerate() {
             if tenant.bytes != tenant_bytes.get(id).copied().unwrap_or(0)
@@ -802,21 +803,6 @@ mod tests {
         );
         assert!(cache.contains("b1"));
         cache.validate_accounting().unwrap();
-    }
-
-    #[test]
-    fn legacy_entry_bound_still_works() {
-        let cache = core(CacheConfig {
-            max_entries: Some(2),
-            ..CacheConfig::default()
-        });
-        cache.insert("a", "public", value("a"), 1);
-        cache.insert("b", "public", value("b"), 1);
-        cache.get("a", "public");
-        cache.insert("c", "public", value("c"), 1);
-        assert!(cache.contains("a") && cache.contains("c"));
-        assert!(!cache.contains("b"));
-        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]

@@ -1,28 +1,21 @@
 //! The serving cache layer: a byte-sized, policy-pluggable core shared by
 //! the plan cache and the server's factor cache.
 //!
-//! The workspace ships nine registry-indexed eviction policies
-//! ([`minio::PolicyRegistry`]) that historically only ran inside MinIO
-//! simulations, while the serving caches were plain count-based LRUs.  This
-//! module unifies the two worlds:
-//!
 //! * [`core`] — [`CacheCore`], a keyed cache of [`Arc`](std::sync::Arc)ed
 //!   values with byte-accurate accounting, TTL expiry, per-tenant quotas and
 //!   a fair-share floor, evicting through any registered serving policy.
-//! * [`policy`] — the [`ServingPolicy`] abstraction: native online
-//!   implementations of LRU, size-aware GDSF and S3-FIFO, plus a bridge
-//!   ([`minio::serving`]) that lets every simulation heuristic (LSNF,
-//!   FirstFit, BestFit, FirstFill, BestFill, BestKComb, LruDist) drive an
-//!   online cache.  [`ServingPolicyRegistry::with_builtin`] catalogues all
-//!   ten by name.
+//! * [`policy`] — the [`ServingPolicy`] abstraction and its three native
+//!   online implementations: LRU, size-aware GDSF and S3-FIFO, catalogued
+//!   by name in [`ServingPolicyRegistry::with_builtin`].  (The paper's
+//!   MinIO heuristics live in [`minio::PolicyRegistry`]; they need the
+//!   known future of a traversal, which a serving cache does not have.)
 //! * [`plan`] — [`PlanCache`], the single-flight, TTL-aware plan cache
-//!   rebuilt on the core; its legacy count-bounded constructor keeps the
-//!   historical LRU semantics bit-for-bit.
+//!   built on the core.
 //!
-//! Capacity is expressed in **bytes** (entry footprints are estimated at
-//! insert time via `Plan::approx_heap_bytes` and friends); the legacy
-//! entry-count bound remains available for compatibility and tests.  Tenancy
-//! is cooperative: every operation names a tenant (default `"public"`), a
+//! Capacity is expressed in **bytes** only (entry footprints are estimated
+//! at insert time via `Plan::approx_heap_bytes` and friends); the defaults
+//! are [`DEFAULT_PLAN_CACHE_BYTES`] and [`DEFAULT_FACTOR_CACHE_BYTES`] under
+//! [`DEFAULT_CACHE_POLICY`].  Tenancy is cooperative: every operation names a tenant (default `"public"`), a
 //! tenant over its byte quota makes room among its *own* entries, and the
 //! fair-share floor keeps one tenant's cold scan from evicting another
 //! tenant's hot working set — over-quota inserts are *admitted but
@@ -36,11 +29,14 @@ pub use self::core::{fingerprint64, Admission, CacheConfig, CacheCore};
 pub use plan::{PlanCache, PlanCacheConfig, DEFAULT_TENANT};
 pub use policy::{EntryMeta, EvictionPrompt, ServingPolicy, ServingPolicyRegistry, ServingSession};
 
+/// Default eviction policy of the serving caches.
+pub const DEFAULT_CACHE_POLICY: &str = "LRU";
+/// Default byte budget of a plan cache: 1 GiB (64 plans of 16 MiB).
+pub const DEFAULT_PLAN_CACHE_BYTES: u64 = 1 << 30;
+/// Default byte budget of a factor cache: 512 MiB (8 factors of 64 MiB).
+pub const DEFAULT_FACTOR_CACHE_BYTES: u64 = 512 << 20;
+
 /// Point-in-time counters of a serving cache; see the field docs.
-///
-/// The counter fields predate the byte-sized core and keep their exact names
-/// (`/stats` compatibility); the policy name, byte accounting and per-tenant
-/// usage were added with the pluggable core.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups that found a live entry.
@@ -53,13 +49,11 @@ pub struct CacheStats {
     pub expirations: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Maximum number of resident entries (0 when bounded by bytes only).
-    pub capacity: usize,
     /// Name of the eviction policy in charge.
     pub policy: String,
     /// Bytes currently resident.
     pub bytes_used: u64,
-    /// Byte capacity (`u64::MAX` when bounded by entry count only).
+    /// Byte capacity (`u64::MAX` when unbounded).
     pub bytes_capacity: u64,
     /// Inserts admitted but not cached (too large, over quota, contended).
     pub uncacheable: u64,

@@ -9,15 +9,13 @@
 //! configuration, shared via [`Arc`] across worker threads; this module
 //! provides that cache plus the counters the `/stats` endpoint reports.
 //!
-//! Two sizing modes:
+//! The cache is sized in bytes: [`PlanCache::with_config`] takes a byte
+//! budget, any registered eviction policy, an optional TTL, per-tenant
+//! quotas and a fair-share floor; [`PlanCache::default`] is LRU over
+//! [`DEFAULT_PLAN_CACHE_BYTES`].  Entry footprints come from
+//! [`Plan::approx_heap_bytes`] at insert time.
 //!
-//! * [`PlanCache::new`] — the legacy count-bounded LRU (capacity in entries,
-//!   optional TTL), bit-compatible with the historical cache;
-//! * [`PlanCache::with_config`] — the production mode: a byte budget, any
-//!   registered eviction policy, per-tenant quotas and a fair-share floor.
-//!   Entry footprints come from [`Plan::approx_heap_bytes`] at insert time.
-//!
-//! Misses stay *single-flight* in both modes: concurrent callers with the
+//! Misses are *single-flight*: concurrent callers with the
 //! same key wait for the one planner instead of re-running the expensive
 //! symbolic stages.  When admission control leaves a plan uncacheable (over
 //! quota, contended, too large), the planner parks it on a small sideline
@@ -31,7 +29,7 @@
 //! use treemem::gadgets::harpoon;
 //!
 //! let engine = Engine::new();
-//! let cache = PlanCache::new(8, None);
+//! let cache = PlanCache::default();
 //! let config = EngineConfig::prebuilt(harpoon(3, 300, 1));
 //! let (_, hit) = cache.get_or_plan(&engine, &config).unwrap();
 //! assert!(!hit);
@@ -47,8 +45,8 @@ use treemem::registry::UnknownName;
 use treemem::sync::{TrackedCondvar, TrackedMutex};
 
 use super::core::{Admission, CacheConfig, CacheCore};
-use super::policy::ServingPolicyRegistry;
-use super::CacheStats;
+use super::policy::{CountLru, ServingPolicyRegistry};
+use super::{CacheStats, DEFAULT_CACHE_POLICY, DEFAULT_PLAN_CACHE_BYTES};
 use crate::cancel::CancelToken;
 use crate::config::EngineConfig;
 use crate::run::{Engine, EngineError, Plan};
@@ -59,15 +57,13 @@ pub const DEFAULT_TENANT: &str = "public";
 /// How many uncacheable plans the sideline shelf holds for their waiters.
 const SIDELINE_LEN: usize = 8;
 
-/// Construction parameters for the byte-sized plan cache.
+/// Construction parameters for the plan cache.
 #[derive(Debug, Clone)]
 pub struct PlanCacheConfig {
     /// Eviction policy name (see [`ServingPolicyRegistry::with_builtin`]).
     pub policy: String,
     /// Byte budget for cached plans.
     pub bytes_capacity: u64,
-    /// Optional legacy entry bound on top of the byte budget.
-    pub max_entries: Option<usize>,
     /// Optional time-to-live.
     pub ttl: Option<Duration>,
     /// Per-tenant byte quota.
@@ -77,14 +73,27 @@ pub struct PlanCacheConfig {
 }
 
 impl Default for PlanCacheConfig {
+    /// LRU over [`DEFAULT_PLAN_CACHE_BYTES`], no TTL, no tenant limits.
     fn default() -> Self {
         PlanCacheConfig {
-            policy: "GDSF".to_string(),
-            bytes_capacity: u64::MAX,
-            max_entries: None,
+            policy: DEFAULT_CACHE_POLICY.to_string(),
+            bytes_capacity: DEFAULT_PLAN_CACHE_BYTES,
             ttl: None,
             tenant_quota_bytes: None,
             tenant_floor: 0.0,
+        }
+    }
+}
+
+impl PlanCacheConfig {
+    fn core_config(self) -> CacheConfig {
+        CacheConfig {
+            policy: self.policy,
+            bytes_capacity: self.bytes_capacity,
+            ttl: self.ttl,
+            tenant_quota_bytes: self.tenant_quota_bytes,
+            tenant_floor: self.tenant_floor,
+            lock_class: "plan-cache.entries",
         }
     }
 }
@@ -103,46 +112,30 @@ pub struct PlanCache {
     sideline: TrackedMutex<Vec<(String, Arc<Plan>)>>,
 }
 
+impl Default for PlanCache {
+    /// The cache of [`PlanCacheConfig::default`].
+    fn default() -> Self {
+        Self::with_core(CacheCore::with_policy(
+            PlanCacheConfig::default().core_config(),
+            &CountLru,
+        ))
+    }
+}
+
 impl PlanCache {
-    /// The legacy count-bounded LRU: at most `capacity` plans (at least 1),
-    /// each living at most `ttl` (no expiry when `None`).
-    pub fn new(capacity: usize, ttl: Option<Duration>) -> Self {
-        let config = PlanCacheConfig {
-            policy: "LRU".to_string(),
-            bytes_capacity: u64::MAX,
-            max_entries: Some(capacity.max(1)),
-            ttl,
-            ..PlanCacheConfig::default()
-        };
-        match Self::with_config(config) {
-            Ok(cache) => cache,
-            // "LRU" is always registered; keep the legacy constructor
-            // infallible.
-            Err(_) => unreachable!("the LRU policy is built in"),
-        }
+    /// A cache evicting via any registered policy.
+    pub fn with_config(config: PlanCacheConfig) -> Result<Self, UnknownName> {
+        let core = CacheCore::new(config.core_config(), &ServingPolicyRegistry::with_builtin())?;
+        Ok(Self::with_core(core))
     }
 
-    /// A byte-sized cache evicting via any registered policy.
-    pub fn with_config(config: PlanCacheConfig) -> Result<Self, UnknownName> {
-        let registry = ServingPolicyRegistry::with_builtin();
-        let core = CacheCore::new(
-            CacheConfig {
-                policy: config.policy,
-                bytes_capacity: config.bytes_capacity,
-                max_entries: config.max_entries,
-                ttl: config.ttl,
-                tenant_quota_bytes: config.tenant_quota_bytes,
-                tenant_floor: config.tenant_floor,
-                lock_class: "plan-cache.entries",
-            },
-            &registry,
-        )?;
-        Ok(PlanCache {
+    fn with_core(core: CacheCore<Plan>) -> Self {
+        PlanCache {
             core,
             in_flight: TrackedMutex::new(Vec::new(), "plan-cache.in-flight"),
             settled: TrackedCondvar::new(),
             sideline: TrackedMutex::new(Vec::new(), "plan-cache.sideline"),
-        })
+        }
     }
 
     /// Look up the plan cached under `key` for the default tenant,
@@ -225,8 +218,11 @@ impl PlanCache {
         cancel: Option<&CancelToken>,
         plan: impl FnOnce() -> Result<Plan, EngineError>,
     ) -> Result<(Arc<Plan>, bool), EngineError> {
+        // Every call counts as exactly one hit or one miss, however often
+        // it looks: a hit when the cache serves it (also after waiting for
+        // another caller's flight), a miss otherwise.
         loop {
-            if let Some(plan) = self.core.get(key, tenant) {
+            if let Some(plan) = self.core.probe(key, tenant) {
                 return Ok((plan, true));
             }
             let mut in_flight = self.in_flight.lock();
@@ -236,6 +232,7 @@ impl PlanCache {
                 in_flight.push(key.to_string());
                 drop(in_flight);
                 self.sideline.lock().retain(|(parked, _)| parked != key);
+                self.core.note_miss(tenant);
                 break;
             }
             // Someone else is planning this key: wait until it settles,
@@ -248,6 +245,8 @@ impl PlanCache {
                 match cancel {
                     Some(token) => {
                         if token.is_cancelled() {
+                            drop(in_flight);
+                            self.core.note_miss(tenant);
                             return Err(EngineError::Cancelled {
                                 stage: "plan",
                                 elapsed: token.elapsed(),
@@ -273,6 +272,7 @@ impl PlanCache {
                 .find(|(parked, _)| parked == key)
                 .map(|(_, plan)| plan.clone());
             if let Some(plan) = parked {
+                self.core.note_miss(tenant);
                 return Ok((plan, true));
             }
         }
@@ -342,10 +342,14 @@ mod tests {
         EngineConfig::prebuilt(harpoon(3, 300, seed as treemem::tree::Size))
     }
 
+    fn with_config(config: PlanCacheConfig) -> PlanCache {
+        PlanCache::with_config(config).expect("builtin policy")
+    }
+
     #[test]
     fn plans_are_shared_on_hits() {
         let engine = Engine::new();
-        let cache = PlanCache::new(4, None);
+        let cache = PlanCache::default();
         let (first, hit_a) = cache.get_or_plan(&engine, &config(1)).unwrap();
         let (second, hit_b) = cache.get_or_plan(&engine, &config(1)).unwrap();
         assert!(!hit_a);
@@ -355,14 +359,24 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(stats.policy, "LRU");
+        assert_eq!(stats.bytes_capacity, DEFAULT_PLAN_CACHE_BYTES);
         assert!(stats.bytes_used > 0, "plans carry a byte footprint");
     }
 
     #[test]
     fn capacity_evicts_least_recently_used() {
         let engine = Engine::new();
-        let cache = PlanCache::new(2, None);
         let configs: Vec<EngineConfig> = (1..=3).map(config).collect();
+        // One byte short of all three plans: any two fit, and the third
+        // evicts exactly one of them.
+        let total: u64 = configs
+            .iter()
+            .map(|c| engine.plan(c).unwrap().approx_heap_bytes())
+            .sum();
+        let cache = with_config(PlanCacheConfig {
+            bytes_capacity: total - 1,
+            ..PlanCacheConfig::default()
+        });
         cache.get_or_plan(&engine, &configs[0]).unwrap();
         cache.get_or_plan(&engine, &configs[1]).unwrap();
         // Touch 0 so 1 becomes the LRU victim.
@@ -377,7 +391,10 @@ mod tests {
     #[test]
     fn ttl_expires_entries() {
         let engine = Engine::new();
-        let cache = PlanCache::new(4, Some(Duration::from_millis(20)));
+        let cache = with_config(PlanCacheConfig {
+            ttl: Some(Duration::from_millis(20)),
+            ..PlanCacheConfig::default()
+        });
         cache.get_or_plan(&engine, &config(1)).unwrap();
         assert!(cache.get(&config(1).hash()).is_some());
         std::thread::sleep(Duration::from_millis(40));
@@ -390,7 +407,7 @@ mod tests {
     #[test]
     fn clear_keeps_counters() {
         let engine = Engine::new();
-        let cache = PlanCache::new(4, None);
+        let cache = PlanCache::default();
         cache.get_or_plan(&engine, &config(1)).unwrap();
         cache.clear();
         let stats = cache.stats();
@@ -401,7 +418,7 @@ mod tests {
     #[test]
     fn planning_errors_pass_through() {
         let engine = Engine::new();
-        let cache = PlanCache::new(4, None);
+        let cache = PlanCache::default();
         let bad = config(1).with_solver("nope");
         assert!(cache.get_or_plan(&engine, &bad).is_err());
         assert_eq!(cache.stats().entries, 0);
@@ -414,7 +431,7 @@ mod tests {
     #[test]
     fn a_panicking_planner_settles_the_key_and_unblocks_waiters() {
         let engine = Engine::new();
-        let cache = PlanCache::new(4, None);
+        let cache = PlanCache::default();
         let config = config(5);
         let key = config.hash();
         let barrier = std::sync::Barrier::new(2);
@@ -450,7 +467,7 @@ mod tests {
     #[test]
     fn waiters_honor_their_own_deadline_while_another_caller_plans() {
         let engine = Engine::new();
-        let cache = PlanCache::new(4, None);
+        let cache = PlanCache::default();
         let config = config(6);
         let key = config.hash();
         let barrier = std::sync::Barrier::new(2);
@@ -482,7 +499,7 @@ mod tests {
     #[test]
     fn concurrent_misses_are_single_flight() {
         let engine = Engine::new();
-        let cache = PlanCache::new(4, None);
+        let cache = PlanCache::default();
         let config = config(2);
         // Every concurrent caller gets the *same* Arc: exactly one of them
         // planned, the rest waited for it (or hit the cache afterwards).
@@ -502,15 +519,38 @@ mod tests {
     }
 
     #[test]
+    fn a_waiter_counts_as_one_hit() {
+        let engine = Engine::new();
+        let cache = PlanCache::default();
+        let config = config(4);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let planner = scope.spawn(|| {
+                cache.single_flight(&config.hash(), DEFAULT_TENANT, None, || {
+                    barrier.wait();
+                    std::thread::sleep(Duration::from_millis(50));
+                    engine.plan(&config)
+                })
+            });
+            barrier.wait();
+            // The key is in flight: this caller looks, waits, looks again.
+            let (_, hit) = cache.get_or_plan(&engine, &config).unwrap();
+            assert!(hit);
+            planner.join().expect("planner").unwrap();
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "one call, one count");
+    }
+
+    #[test]
     fn uncacheable_plans_are_still_shared_within_their_flight() {
         let engine = Engine::new();
         // A one-byte budget: every plan is too large to cache.
-        let cache = PlanCache::with_config(PlanCacheConfig {
+        let cache = with_config(PlanCacheConfig {
             policy: "GDSF".to_string(),
             bytes_capacity: 1,
             ..PlanCacheConfig::default()
-        })
-        .unwrap();
+        });
         let config = config(3);
         let barrier = std::sync::Barrier::new(2);
         let plans: Vec<Arc<Plan>> = std::thread::scope(|scope| {
@@ -539,13 +579,12 @@ mod tests {
     }
 
     #[test]
-    fn byte_mode_charges_tenants_and_reports_them() {
+    fn tenants_are_charged_and_reported() {
         let engine = Engine::new();
-        let cache = PlanCache::with_config(PlanCacheConfig {
-            bytes_capacity: 1 << 30,
+        let cache = with_config(PlanCacheConfig {
+            policy: "GDSF".to_string(),
             ..PlanCacheConfig::default()
-        })
-        .unwrap();
+        });
         cache
             .get_or_plan_for(&engine, &config(1), "alice", None)
             .unwrap();

@@ -4,12 +4,11 @@
 //! the simulation trait selects victims knowing the full future of a tree
 //! traversal, a serving policy sees only the past — insertions, accesses and
 //! removals streamed through its [`ServingSession`] — and must pick victims
-//! when the core needs room.  Three policies are implemented natively
-//! (recency LRU, size-aware GDSF, scan-resistant S3-FIFO: the two stateful
-//! cache policies degrade under per-decision bridging, so they get real
-//! online state here), and every stateless simulation heuristic is adapted
-//! through [`minio::serving::select_victims`], giving the serving layer the
-//! full registry catalogue.
+//! when the core needs room.  Three policies are built in, all native online
+//! implementations: recency LRU, size-aware GDSF and scan-resistant S3-FIFO.
+//! The paper's heuristics (LSNF, First Fit, …) stay in
+//! [`minio::PolicyRegistry`]: they rank files by a known next use, which an
+//! online cache does not have.
 //!
 //! Contract notes, mirroring the simulator's:
 //!
@@ -52,7 +51,7 @@ pub struct EvictionPrompt<'a> {
     pub deficit_bytes: u64,
     /// The current logical tick.
     pub now_tick: u64,
-    /// The cache's byte capacity (`u64::MAX` when bounded by entries only).
+    /// The cache's byte capacity (`u64::MAX` when unbounded).
     pub bytes_capacity: u64,
 }
 
@@ -79,8 +78,7 @@ pub trait ServingPolicy: Send + Sync {
 }
 
 /// Recency LRU: evict the least-recently-accessed candidates until the
-/// deficit is covered.  This is exactly the legacy count-based cache order,
-/// generalised to byte deficits.
+/// deficit is covered.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountLru;
 
@@ -108,7 +106,7 @@ impl ServingPolicy for CountLru {
         "LRU".to_string()
     }
     fn description(&self) -> &'static str {
-        "least recently used (the legacy count-LRU order, byte deficits)"
+        "least recently used"
     }
     fn session(&self) -> Box<dyn ServingSession + Send> {
         Box::new(CountLruSession)
@@ -359,63 +357,6 @@ impl ServingPolicy for S3Fifo {
     }
 }
 
-/// A simulation policy adapted to serving through
-/// [`minio::serving::select_victims`]: every decision rebuilds the synthetic
-/// context from the prompt, so the bridge is stateless and any registered
-/// [`minio::Policy`] can drive a live cache.
-pub struct SimBridge {
-    inner: std::sync::Arc<dyn minio::Policy>,
-}
-
-impl SimBridge {
-    /// Bridge `policy` into the serving world under its own name.
-    pub fn new(policy: Box<dyn minio::Policy>) -> Self {
-        SimBridge {
-            inner: std::sync::Arc::from(policy),
-        }
-    }
-}
-
-struct SimBridgeSession {
-    inner: std::sync::Arc<dyn minio::Policy>,
-}
-
-impl ServingSession for SimBridgeSession {
-    fn select(&mut self, prompt: &EvictionPrompt<'_>) -> Vec<u64> {
-        let residents: Vec<minio::ResidentFile> = prompt
-            .candidates
-            .iter()
-            .map(|m| minio::ResidentFile {
-                slot: m.slot,
-                bytes: m.bytes,
-                inserted_tick: m.inserted_tick,
-                last_access_tick: m.last_access_tick,
-                hits: m.hits,
-            })
-            .collect();
-        minio::select_victims(
-            self.inner.as_ref(),
-            &residents,
-            prompt.now_tick,
-            prompt.deficit_bytes,
-        )
-    }
-}
-
-impl ServingPolicy for SimBridge {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-    fn description(&self) -> &'static str {
-        self.inner.description()
-    }
-    fn session(&self) -> Box<dyn ServingSession + Send> {
-        Box::new(SimBridgeSession {
-            inner: self.inner.clone(),
-        })
-    }
-}
-
 /// A name-indexed catalogue of serving policies, mirroring
 /// [`minio::PolicyRegistry`].
 pub struct ServingPolicyRegistry {
@@ -430,25 +371,12 @@ impl ServingPolicyRegistry {
         }
     }
 
-    /// The full catalogue: the three native online policies (LRU, GDSF,
-    /// S3FIFO), then every remaining simulation policy through the bridge
-    /// (LSNF, FirstFit, BestFit, FirstFill, BestFill, BestKComb, LruDist).
+    /// The builtin catalogue: LRU, GDSF and S3FIFO.
     pub fn with_builtin() -> Self {
         let mut registry = ServingPolicyRegistry::empty();
         registry.register(Box::new(CountLru));
         registry.register(Box::new(Gdsf));
         registry.register(Box::new(S3Fifo));
-        for bridged in [
-            Box::new(minio::policy::paper::Lsnf) as Box<dyn minio::Policy>,
-            Box::new(minio::policy::paper::FirstFit),
-            Box::new(minio::policy::paper::BestFit),
-            Box::new(minio::policy::paper::FirstFill),
-            Box::new(minio::policy::paper::BestFill),
-            Box::new(minio::policy::paper::BestKCombination::default()),
-            Box::new(minio::policy::cache::LruDistance),
-        ] {
-            registry.register(Box::new(SimBridge::new(bridged)));
-        }
         registry
     }
 
@@ -518,24 +446,12 @@ mod tests {
     }
 
     #[test]
-    fn builtin_catalogue_has_ten_policies() {
+    fn builtin_catalogue_has_the_three_native_policies() {
         let registry = ServingPolicyRegistry::with_builtin();
-        assert_eq!(
-            registry.names(),
-            vec![
-                "LRU",
-                "GDSF",
-                "S3FIFO",
-                "LSNF",
-                "FirstFit",
-                "BestFit",
-                "FirstFill",
-                "BestFill",
-                "BestKComb",
-                "LruDist"
-            ]
-        );
+        assert_eq!(registry.names(), vec!["LRU", "GDSF", "S3FIFO"]);
         assert!(registry.get_or_err("LRU").is_ok());
+        // The simulation heuristics are not serving policies.
+        assert!(registry.get_or_err("LSNF").is_err());
         assert!(registry.get_or_err("nope").is_err());
     }
 

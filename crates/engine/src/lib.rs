@@ -18,8 +18,8 @@
 //!   per-stage wall-clock times and provenance;
 //! * [`Engine::run_batch`] — a whole `Vec<EngineConfig>` fanned over the
 //!   [`parallel::par_map`] worker pool for server-style throughput;
-//! * [`PlanCache`] — a bounded LRU (+ optional TTL) of `Arc<Plan>`s keyed by
-//!   effective-config hash, so repeated configurations skip the
+//! * [`PlanCache`] — a byte-budgeted cache (+ optional TTL) of `Arc<Plan>`s
+//!   keyed by effective-config hash, so repeated configurations skip the
 //!   ordering/symbolic stages entirely (the substrate of `crates/server`'s
 //!   plan cache).
 //!
@@ -54,7 +54,8 @@ pub use treemem::faultinject;
 
 pub use cache::{
     fingerprint64, Admission, CacheConfig, CacheCore, CacheStats, PlanCache, PlanCacheConfig,
-    ServingPolicy, ServingPolicyRegistry, TenantUsage, DEFAULT_TENANT,
+    ServingPolicy, ServingPolicyRegistry, TenantUsage, DEFAULT_CACHE_POLICY,
+    DEFAULT_FACTOR_CACHE_BYTES, DEFAULT_PLAN_CACHE_BYTES, DEFAULT_TENANT,
 };
 pub use cancel::{monotonic_millis, CancelToken};
 pub use config::{

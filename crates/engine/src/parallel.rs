@@ -11,9 +11,8 @@
 //! slice: a fixed set of threads draining a shared queue, used by
 //! `crates/server` to execute HTTP requests.
 //!
-//! The module originally lived in `crates/bench`; it moved here so
-//! [`Engine::run_batch`](crate::Engine::run_batch) can fan configurations
-//! over the same pool, and `bench::parallel` now re-exports it.
+//! It lives in the engine so [`Engine::run_batch`](crate::Engine::run_batch)
+//! and the `bench` sweeps fan work over the same pool.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,9 +1,8 @@
 //! Seeded property battery for the shared serving-cache core.
 //!
-//! Every policy in the builtin registry — native online implementations and
-//! simulation heuristics served through the bridge alike — is driven through
-//! the same churn workloads, and the properties the serving layer depends on
-//! are asserted the same way for all of them:
+//! Every policy in the builtin registry (LRU, GDSF, S3FIFO) is driven
+//! through the same churn workloads, and the properties the serving layer
+//! depends on are asserted the same way for all of them:
 //!
 //! * byte accounting never drifts (the internal audit passes at every
 //!   sampled point, under churn and after TTL expiry);

@@ -250,7 +250,7 @@ fn threaded_subtree_factorization_is_bitwise_equal_to_sequential() {
 #[test]
 fn plan_cache_distinguishes_serial_and_parallel_requests() {
     let engine = Engine::new();
-    let cache = PlanCache::new(8, None);
+    let cache = PlanCache::default();
     let serial = numeric_config(ProblemKind::Grid2d);
     let parallel = serial
         .clone()

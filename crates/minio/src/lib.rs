@@ -54,7 +54,6 @@ pub mod exact;
 pub mod heuristics;
 pub mod policy;
 pub mod schedule;
-pub mod serving;
 
 pub use exact::{exact_min_io, ExactMinIo};
 pub use heuristics::{
@@ -65,7 +64,6 @@ pub use policy::{Candidate, EvictionContext, EvictionSession, Policy, PolicyRegi
 pub use schedule::{
     check_out_of_core, check_out_of_core_with_positions, IoSchedule, OutOfCoreCheck,
 };
-pub use serving::{select_victims, ResidentFile};
 
 /// All six heuristics of the paper, in the order they are presented in
 /// Section V-B. Convenient for sweeps in experiments and tests.

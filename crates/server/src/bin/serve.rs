@@ -9,13 +9,10 @@
 //! serve --role worker --coordinator HOST:PORT [--worker-id NAME]
 //! ```
 //!
-//! Caches are sized in **bytes** (`--cache-bytes` for plans,
-//! `--factor-cache-bytes` for factors) and evict through any registered
-//! serving policy (`--cache-policy`; `GDSF` by default in byte mode).  The
-//! pre-byte-budget flags `--cache-capacity N` and
-//! `--factor-cache-capacity N` are deprecated aliases that map N entries
-//! to a byte budget (16 MiB per plan slot, 64 MiB per factor slot) with a
-//! boot-time warning.
+//! Caches are sized in **bytes** (`--cache-bytes` for plans, default 1 GiB;
+//! `--factor-cache-bytes` for factors, default 512 MiB) and evict through
+//! one of the serving policies `LRU` (the default), `GDSF` or `S3FIFO`
+//! (`--cache-policy`).
 //!
 //! The default role, `coordinator`, binds (port 0 picks an ephemeral port,
 //! printed on stdout) and serves until the process is terminated.  See the
@@ -38,12 +35,6 @@ use std::time::Duration;
 use server::worker::{run_worker, HttpTransport, WorkerOptions};
 use server::{Server, ServerConfig};
 
-/// Byte budget one slot of the deprecated `--cache-capacity` flag maps to.
-const PLAN_SLOT_BYTES: u64 = 16 * 1024 * 1024;
-/// Byte budget one slot of the deprecated `--factor-cache-capacity` flag
-/// maps to (factors are much bigger than plans).
-const FACTOR_SLOT_BYTES: u64 = 64 * 1024 * 1024;
-
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--cache-policy NAME]\n\
@@ -52,8 +43,8 @@ fn usage() -> ! {
          \x20      [--cache-ttl-seconds S] [--max-body-bytes N]\n\
          \x20      [--default-deadline-ms MS] [--max-deadline-ms MS]\n\
          \x20  or: serve --role worker --coordinator HOST:PORT [--worker-id NAME]\n\
-         deprecated: --cache-capacity N / --factor-cache-capacity N\n\
-         \x20      (entry counts; mapped to byte budgets at boot)"
+         cache policies: LRU (default), GDSF, S3FIFO; budgets default to\n\
+         \x20 1 GiB of plans and 512 MiB of factors"
     );
     std::process::exit(2);
 }
@@ -87,13 +78,11 @@ fn main() {
             "--addr" => config.addr = parse("--addr", iter.next()),
             "--workers" => config.workers = parse("--workers", iter.next()),
             "--cache-policy" => {
-                config.cache.policy = Some(parse("--cache-policy", iter.next()));
+                config.cache.policy = parse("--cache-policy", iter.next());
             }
-            "--cache-bytes" => {
-                config.cache.plan_bytes = Some(parse("--cache-bytes", iter.next()));
-            }
+            "--cache-bytes" => config.cache.plan_bytes = parse("--cache-bytes", iter.next()),
             "--factor-cache-bytes" => {
-                config.cache.factor_bytes = Some(parse("--factor-cache-bytes", iter.next()));
+                config.cache.factor_bytes = parse("--factor-cache-bytes", iter.next());
             }
             "--tenant-quota-bytes" => {
                 config.cache.tenant_quota_bytes = Some(parse("--tenant-quota-bytes", iter.next()));
@@ -106,31 +95,11 @@ fn main() {
                 }
                 config.cache.tenant_floor = floor;
             }
-            "--cache-capacity" => {
-                let entries: u64 = parse("--cache-capacity", iter.next());
-                let bytes = entries.saturating_mul(PLAN_SLOT_BYTES).max(PLAN_SLOT_BYTES);
-                eprintln!(
-                    "serve: --cache-capacity is deprecated; mapping {entries} plan slot(s) \
-                     to --cache-bytes {bytes}"
-                );
-                config.cache.plan_bytes = Some(bytes);
-            }
             "--cache-ttl-seconds" => {
                 config.cache_ttl = Some(Duration::from_secs(parse(
                     "--cache-ttl-seconds",
                     iter.next(),
                 )));
-            }
-            "--factor-cache-capacity" => {
-                let entries: u64 = parse("--factor-cache-capacity", iter.next());
-                let bytes = entries
-                    .saturating_mul(FACTOR_SLOT_BYTES)
-                    .max(FACTOR_SLOT_BYTES);
-                eprintln!(
-                    "serve: --factor-cache-capacity is deprecated; mapping {entries} factor \
-                     slot(s) to --factor-cache-bytes {bytes}"
-                );
-                config.cache.factor_bytes = Some(bytes);
             }
             "--max-body-bytes" => config.max_body_bytes = parse("--max-body-bytes", iter.next()),
             "--default-deadline-ms" => {

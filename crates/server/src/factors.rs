@@ -13,18 +13,21 @@
 //! (a single 10⁶-node factor can dwarf hundreds of small ones, so counting
 //! entries misrepresents pressure by orders of magnitude), eviction runs
 //! through any registered serving policy, and deposits are charged to the
-//! tenant that reported them.  The legacy count-bounded constructor
-//! ([`FactorCache::new`]) keeps the historical LRU semantics for existing
-//! callers and tests.  There is no TTL: a factor never goes stale (the
-//! configuration hash pins problem, ordering, and kernel bit-for-bit).
+//! tenant that reported them.  [`FactorCache::default`] is LRU over
+//! [`engine::DEFAULT_FACTOR_CACHE_BYTES`].  There is no TTL: a factor never
+//! goes stale (the configuration hash pins problem, ordering, and kernel
+//! bit-for-bit).
 
 use std::sync::Arc;
 
+use engine::cache::policy::CountLru;
 use engine::cache::{Admission, CacheConfig, CacheCore, ServingPolicyRegistry};
-use engine::{CacheStats, FactorHandle, DEFAULT_TENANT};
+use engine::{
+    CacheStats, FactorHandle, DEFAULT_CACHE_POLICY, DEFAULT_FACTOR_CACHE_BYTES, DEFAULT_TENANT,
+};
 use treemem::registry::UnknownName;
 
-/// Construction parameters for the byte-sized factor cache.
+/// Construction parameters for the factor cache.
 #[derive(Debug, Clone)]
 pub struct FactorCacheConfig {
     /// Eviction policy name (see
@@ -32,8 +35,6 @@ pub struct FactorCacheConfig {
     pub policy: String,
     /// Byte budget for cached factors.
     pub bytes_capacity: u64,
-    /// Optional legacy entry bound on top of the byte budget.
-    pub max_entries: Option<usize>,
     /// Per-tenant byte quota.
     pub tenant_quota_bytes: Option<u64>,
     /// Fair-share floor fraction in `[0, 1]`.
@@ -41,13 +42,26 @@ pub struct FactorCacheConfig {
 }
 
 impl Default for FactorCacheConfig {
+    /// LRU over [`DEFAULT_FACTOR_CACHE_BYTES`], no tenant limits.
     fn default() -> Self {
         FactorCacheConfig {
-            policy: "GDSF".to_string(),
-            bytes_capacity: u64::MAX,
-            max_entries: None,
+            policy: DEFAULT_CACHE_POLICY.to_string(),
+            bytes_capacity: DEFAULT_FACTOR_CACHE_BYTES,
             tenant_quota_bytes: None,
             tenant_floor: 0.0,
+        }
+    }
+}
+
+impl FactorCacheConfig {
+    fn core_config(self) -> CacheConfig {
+        CacheConfig {
+            policy: self.policy,
+            bytes_capacity: self.bytes_capacity,
+            ttl: None,
+            tenant_quota_bytes: self.tenant_quota_bytes,
+            tenant_floor: self.tenant_floor,
+            lock_class: "factor-cache.inner",
         }
     }
 }
@@ -57,48 +71,19 @@ pub struct FactorCache {
     core: CacheCore<FactorHandle>,
 }
 
-impl FactorCache {
-    /// The legacy count-bounded LRU: at most `capacity` factors (at least
-    /// 1), unlimited bytes.
-    pub fn new(capacity: usize) -> Self {
-        let config = FactorCacheConfig {
-            policy: "LRU".to_string(),
-            bytes_capacity: u64::MAX,
-            max_entries: Some(capacity.max(1)),
-            ..FactorCacheConfig::default()
-        };
-        match Self::with_config(config) {
-            Ok(cache) => cache,
-            // "LRU" is always registered; keep the legacy constructor
-            // infallible without a panic path in server code.
-            Err(_) => FactorCache {
-                core: CacheCore::with_policy(
-                    CacheConfig {
-                        max_entries: Some(capacity.max(1)),
-                        lock_class: "factor-cache.inner",
-                        ..CacheConfig::default()
-                    },
-                    &engine::cache::policy::CountLru,
-                ),
-            },
+impl Default for FactorCache {
+    /// The cache of [`FactorCacheConfig::default`].
+    fn default() -> Self {
+        FactorCache {
+            core: CacheCore::with_policy(FactorCacheConfig::default().core_config(), &CountLru),
         }
     }
+}
 
-    /// A byte-sized cache evicting via any registered policy.
+impl FactorCache {
+    /// A cache evicting via any registered policy.
     pub fn with_config(config: FactorCacheConfig) -> Result<Self, UnknownName> {
-        let registry = ServingPolicyRegistry::with_builtin();
-        let core = CacheCore::new(
-            CacheConfig {
-                policy: config.policy,
-                bytes_capacity: config.bytes_capacity,
-                max_entries: config.max_entries,
-                ttl: None,
-                tenant_quota_bytes: config.tenant_quota_bytes,
-                tenant_floor: config.tenant_floor,
-                lock_class: "factor-cache.inner",
-            },
-            &registry,
-        )?;
+        let core = CacheCore::new(config.core_config(), &ServingPolicyRegistry::with_builtin())?;
         Ok(FactorCache { core })
     }
 
@@ -166,13 +151,24 @@ mod tests {
         sized_handle(seed, 12)
     }
 
+    fn lru_with_budget(bytes_capacity: u64) -> FactorCache {
+        FactorCache::with_config(FactorCacheConfig {
+            bytes_capacity,
+            ..FactorCacheConfig::default()
+        })
+        .unwrap()
+    }
+
     #[test]
     fn lru_evicts_the_coldest_factor() {
-        let cache = FactorCache::new(2);
-        cache.insert("a", handle(1));
-        cache.insert("b", handle(2));
+        let (a, b, c) = (handle(1), handle(2), handle(3));
+        // One byte short of all three: any two fit, the third evicts one.
+        let total = a.approx_heap_bytes() + b.approx_heap_bytes() + c.approx_heap_bytes();
+        let cache = lru_with_budget(total - 1);
+        cache.insert("a", a);
+        cache.insert("b", b);
         assert!(cache.get("a").is_some()); // "b" is now coldest
-        cache.insert("c", handle(3));
+        cache.insert("c", c);
         assert!(cache.get("b").is_none());
         assert!(cache.get("a").is_some());
         assert!(cache.get("c").is_some());
@@ -185,7 +181,7 @@ mod tests {
 
     #[test]
     fn reinsertion_replaces_without_eviction() {
-        let cache = FactorCache::new(2);
+        let cache = FactorCache::default();
         cache.insert("a", handle(1));
         cache.insert("a", handle(4));
         assert_eq!(cache.stats().entries, 1);
@@ -208,12 +204,7 @@ mod tests {
         // Budget: all four small factors fit; the big one fits only after
         // evicting more than one of them.
         let budget = 4 * small_bytes + big_bytes - 1;
-        let cache = FactorCache::with_config(FactorCacheConfig {
-            policy: "LRU".to_string(),
-            bytes_capacity: budget,
-            ..FactorCacheConfig::default()
-        })
-        .unwrap();
+        let cache = lru_with_budget(budget);
         for (i, h) in small.iter().enumerate() {
             cache.insert(&format!("small-{i}"), Arc::clone(h));
         }
@@ -232,11 +223,7 @@ mod tests {
     #[test]
     fn oversized_factor_is_served_but_not_cached() {
         let big = sized_handle(3, 400);
-        let cache = FactorCache::with_config(FactorCacheConfig {
-            bytes_capacity: big.approx_heap_bytes() / 2,
-            ..FactorCacheConfig::default()
-        })
-        .unwrap();
+        let cache = lru_with_budget(big.approx_heap_bytes() / 2);
         assert!(!cache.insert_for("big", "public", big).is_cached());
         assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.stats().uncacheable, 1);
@@ -248,8 +235,10 @@ mod tests {
         // `/solve` handlers looking up, all racing the LRU eviction of a
         // deliberately tiny cache.  Every resolved factor must be usable
         // (solvable with a small residual), and the counters must balance.
-        let cache = Arc::new(FactorCache::new(3));
         let handles: Vec<Arc<FactorHandle>> = (0..6).map(|seed| handle(seed as u64)).collect();
+        // Room for about three of the six factors.
+        let budget = 3 * handles.iter().map(|h| h.approx_heap_bytes()).max().unwrap();
+        let cache = Arc::new(lru_with_budget(budget));
         std::thread::scope(|scope| {
             for worker in 0..4 {
                 let cache = Arc::clone(&cache);
@@ -269,7 +258,12 @@ mod tests {
             }
         });
         let stats = cache.stats();
-        assert!(stats.entries <= 3, "over capacity: {}", stats.entries);
+        assert!(
+            stats.bytes_used <= budget,
+            "over capacity: {}",
+            stats.bytes_used
+        );
+        assert!(stats.evictions > 0, "the working set overflows the budget");
         assert!(stats.hits + stats.misses > 0);
         cache.validate_accounting().unwrap();
         // Every key that is still resident resolves to a working factor.

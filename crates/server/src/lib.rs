@@ -80,14 +80,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads executing requests (at least 1).
     pub workers: usize,
-    /// Maximum number of cached plans.
-    pub cache_capacity: usize,
     /// Optional time-to-live of a cached plan.
     pub cache_ttl: Option<Duration>,
-    /// Maximum number of cached Cholesky factors (`POST /solve` resolves
-    /// against this cache).  Factors are much bigger than plans, so the
-    /// default is deliberately small.
-    pub factor_cache_capacity: usize,
     /// Largest accepted request body, in bytes (prebuilt-tree configurations
     /// inline three arrays per node, so this is generous by default).
     pub max_body_bytes: usize,
@@ -104,31 +98,26 @@ pub struct ServerConfig {
     /// ask for no deadline are bounded by it, and requested deadlines are
     /// clamped down to it.
     pub max_deadline: Option<Duration>,
-    /// Byte-sized cache settings; the default keeps the legacy
-    /// count-bounded LRU behaviour of `cache_capacity` /
-    /// `factor_cache_capacity`.
+    /// Plan and factor cache sizing: policy, byte budgets, tenant quotas.
     pub cache: CacheSettings,
 }
 
 /// The `cache` section of the boot configuration: policy selection, byte
 /// budgets, and tenant quotas for the plan and factor caches.
 ///
-/// `Default` leaves everything unset, which keeps the caches in their
-/// legacy count-bounded LRU mode.  Setting a byte budget switches the
-/// corresponding cache to byte-accurate accounting under `policy`
-/// (default `"GDSF"`), replacing the entry bound.
-#[derive(Debug, Clone, Default)]
+/// `Default` is LRU over [`engine::DEFAULT_PLAN_CACHE_BYTES`] (1 GiB) of
+/// plans and [`engine::DEFAULT_FACTOR_CACHE_BYTES`] (512 MiB) of factors,
+/// with no tenant limits.
+#[derive(Debug, Clone)]
 pub struct CacheSettings {
     /// Eviction policy name for both caches (a
-    /// [`engine::ServingPolicyRegistry`] name).  `None` picks `"GDSF"` in
-    /// byte mode and `"LRU"` in legacy count mode.
-    pub policy: Option<String>,
-    /// Byte budget of the plan cache; `None` keeps the entry bound of
-    /// [`ServerConfig::cache_capacity`].
-    pub plan_bytes: Option<u64>,
-    /// Byte budget of the factor cache; `None` keeps the entry bound of
-    /// [`ServerConfig::factor_cache_capacity`].
-    pub factor_bytes: Option<u64>,
+    /// [`engine::ServingPolicyRegistry`] name).
+    pub policy: String,
+    /// Byte budget of the plan cache.
+    pub plan_bytes: u64,
+    /// Byte budget of the factor cache (`POST /solve` resolves against
+    /// this cache).
+    pub factor_bytes: u64,
     /// Per-tenant byte quota on each cache (over-quota inserts are
     /// admitted but uncacheable).
     pub tenant_quota_bytes: Option<u64>,
@@ -138,14 +127,14 @@ pub struct CacheSettings {
     pub tenant_floor: f64,
 }
 
-impl CacheSettings {
-    /// The effective policy name: explicit choice, else `"GDSF"` when any
-    /// byte budget is set, else the legacy `"LRU"`.
-    fn effective_policy(&self, byte_mode: bool) -> String {
-        match &self.policy {
-            Some(name) => name.clone(),
-            None if byte_mode => "GDSF".to_string(),
-            None => "LRU".to_string(),
+impl Default for CacheSettings {
+    fn default() -> Self {
+        CacheSettings {
+            policy: engine::DEFAULT_CACHE_POLICY.to_string(),
+            plan_bytes: engine::DEFAULT_PLAN_CACHE_BYTES,
+            factor_bytes: engine::DEFAULT_FACTOR_CACHE_BYTES,
+            tenant_quota_bytes: None,
+            tenant_floor: 0.0,
         }
     }
 }
@@ -155,9 +144,7 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: engine::parallel::default_threads(usize::MAX),
-            cache_capacity: 64,
             cache_ttl: None,
-            factor_cache_capacity: 8,
             max_body_bytes: 64 * 1024 * 1024,
             io_timeout: Duration::from_secs(10),
             max_backlog: 1024,
@@ -180,32 +167,21 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
-        let plan_byte_mode = config.cache.plan_bytes.is_some();
+        let cache = config.cache;
         let plan_cache = PlanCache::with_config(engine::PlanCacheConfig {
-            policy: config.cache.effective_policy(plan_byte_mode),
-            bytes_capacity: config.cache.plan_bytes.unwrap_or(u64::MAX),
-            max_entries: if plan_byte_mode {
-                None
-            } else {
-                Some(config.cache_capacity.max(1))
-            },
+            policy: cache.policy.clone(),
+            bytes_capacity: cache.plan_bytes,
             ttl: config.cache_ttl,
-            tenant_quota_bytes: config.cache.tenant_quota_bytes,
-            tenant_floor: config.cache.tenant_floor,
+            tenant_quota_bytes: cache.tenant_quota_bytes,
+            tenant_floor: cache.tenant_floor,
         })
         .map_err(|e| std::io::Error::other(format!("plan cache: {e}")))?;
-        let factor_byte_mode = config.cache.factor_bytes.is_some();
         let factor_cache =
             crate::factors::FactorCache::with_config(crate::factors::FactorCacheConfig {
-                policy: config.cache.effective_policy(factor_byte_mode),
-                bytes_capacity: config.cache.factor_bytes.unwrap_or(u64::MAX),
-                max_entries: if factor_byte_mode {
-                    None
-                } else {
-                    Some(config.factor_cache_capacity.max(1))
-                },
-                tenant_quota_bytes: config.cache.tenant_quota_bytes,
-                tenant_floor: config.cache.tenant_floor,
+                policy: cache.policy,
+                bytes_capacity: cache.factor_bytes,
+                tenant_quota_bytes: cache.tenant_quota_bytes,
+                tenant_floor: cache.tenant_floor,
             })
             .map_err(|e| std::io::Error::other(format!("factor cache: {e}")))?;
         let service = Arc::new(

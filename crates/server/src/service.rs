@@ -756,7 +756,7 @@ mod tests {
     use engine::json::Json;
 
     fn service() -> Service {
-        Service::new(PlanCache::new(8, None), FactorCache::new(4), 2)
+        Service::new(PlanCache::default(), FactorCache::default(), 2)
     }
 
     fn post(service: &Service, path: &str, body: &str) -> Response {
@@ -1115,14 +1115,14 @@ mod tests {
 
     #[test]
     fn server_side_default_and_maximum_deadlines_apply() {
-        let defaulted = Service::new(PlanCache::new(8, None), FactorCache::new(4), 2)
+        let defaulted = Service::new(PlanCache::default(), FactorCache::default(), 2)
             .with_deadlines(Some(Duration::from_millis(1)), None);
         let response = post(&defaulted, "/plan", &slow_config());
         assert_eq!(response.status, 504, "{}", response.body);
 
         // The maximum caps a generous requested deadline down to 1 ms and
         // bounds requests that asked for none.
-        let capped = Service::new(PlanCache::new(8, None), FactorCache::new(4), 2)
+        let capped = Service::new(PlanCache::default(), FactorCache::default(), 2)
             .with_deadlines(None, Some(Duration::from_millis(1)));
         let response = post_with_headers(
             &capped,
@@ -1134,7 +1134,7 @@ mod tests {
         assert_eq!(post(&capped, "/plan", &slow_config()).status, 504);
 
         // Small problems still finish inside the same ceiling-free default.
-        let roomy = Service::new(PlanCache::new(8, None), FactorCache::new(4), 2)
+        let roomy = Service::new(PlanCache::default(), FactorCache::default(), 2)
             .with_deadlines(Some(Duration::from_secs(600)), None);
         assert_eq!(post(&roomy, "/plan", &sample_config()).status, 200);
     }

@@ -168,12 +168,10 @@ impl ServerStats {
 
     /// Render everything (plus the given cache counters, worker count, and
     /// distributed-cluster snapshot) as the `/stats` JSON document (schema
-    /// `engine_server_stats/v1`).
+    /// `engine_server_stats/v2`).
     ///
-    /// The legacy top-level `cache` and `factor_cache` sections are pinned
-    /// (older dashboards read them); the versioned `caches` object carries
-    /// the full byte-level picture — policy, byte budget and usage,
-    /// uncacheable count, and per-tenant usage.
+    /// The versioned `caches` object carries both caches — policy, byte
+    /// budget and usage, counters, uncacheable count, and per-tenant usage.
     pub fn to_json(
         &self,
         cache: &engine::CacheStats,
@@ -182,7 +180,7 @@ impl ServerStats {
         cluster: &distrib::ClusterSnapshot,
     ) -> String {
         let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"engine_server_stats/v1\",\n");
+        out.push_str("{\n  \"schema\": \"engine_server_stats/v2\",\n");
         out.push_str(&format!(
             "  \"uptime_seconds\": {:.3},\n",
             self.started.elapsed().as_secs_f64()
@@ -203,23 +201,7 @@ impl ServerStats {
             self.responses_5xx.load(Ordering::Relaxed)
         ));
         out.push_str(&format!(
-            "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.6}, \
-             \"evictions\": {}, \"expirations\": {}, \"entries\": {}, \"capacity\": {}}},\n",
-            cache.hits,
-            cache.misses,
-            cache.hit_rate(),
-            cache.evictions,
-            cache.expirations,
-            cache.entries,
-            cache.capacity
-        ));
-        out.push_str(&format!(
-            "  \"factor_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-             \"entries\": {}, \"capacity\": {}}},\n",
-            factors.hits, factors.misses, factors.evictions, factors.entries, factors.capacity
-        ));
-        out.push_str(&format!(
-            "  \"caches\": {{\"schema\": \"engine_server_caches/v1\", \"plan\": {}, \
+            "  \"caches\": {{\"schema\": \"engine_server_caches/v2\", \"plan\": {}, \
              \"factor\": {}}},\n",
             cache_json(cache),
             cache_json(factors)
@@ -269,14 +251,9 @@ fn cache_json(stats: &engine::CacheStats) -> String {
     } else {
         stats.bytes_capacity.to_string()
     };
-    let max_entries = if stats.capacity == 0 {
-        "null".to_string()
-    } else {
-        stats.capacity.to_string()
-    };
     let mut out = format!(
         "{{\"policy\": \"{}\", \"bytes_capacity\": {bytes_capacity}, \"bytes_used\": {}, \
-         \"max_entries\": {max_entries}, \"entries\": {}, \"hits\": {}, \"misses\": {}, \
+         \"entries\": {}, \"hits\": {}, \"misses\": {}, \
          \"hit_rate\": {:.6}, \"evictions\": {}, \"expirations\": {}, \"uncacheable\": {}, \
          \"tenants\": {{",
         escape(&stats.policy),
@@ -337,12 +314,10 @@ mod tests {
         let cache = engine::CacheStats {
             hits: 3,
             misses: 1,
-            capacity: 8,
             ..Default::default()
         };
         let factors = engine::CacheStats {
             hits: 2,
-            capacity: 8,
             policy: "LRU".to_string(),
             bytes_used: 1024,
             bytes_capacity: u64::MAX,
@@ -362,7 +337,7 @@ mod tests {
         let json = Json::parse(&doc).unwrap();
         assert_eq!(
             json.get("schema").and_then(Json::as_str),
-            Some("engine_server_stats/v1")
+            Some("engine_server_stats/v2")
         );
         assert_eq!(
             json.get("responses")
@@ -370,25 +345,22 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
+        // The versioned caches object carries both caches.
+        assert!(json.get("cache").is_none() && json.get("factor_cache").is_none());
+        let caches = json.get("caches").expect("caches object present");
         assert_eq!(
-            json.get("cache")
+            caches.get("schema").and_then(Json::as_str),
+            Some("engine_server_caches/v2")
+        );
+        assert_eq!(
+            caches
+                .get("plan")
                 .and_then(|c| c.get("hits"))
                 .and_then(Json::as_u64),
             Some(3)
         );
-        assert_eq!(
-            json.get("factor_cache")
-                .and_then(|c| c.get("hits"))
-                .and_then(Json::as_u64),
-            Some(2)
-        );
-        // The versioned caches object carries the byte-level picture.
-        let caches = json.get("caches").expect("caches object present");
-        assert_eq!(
-            caches.get("schema").and_then(Json::as_str),
-            Some("engine_server_caches/v1")
-        );
         let factor_cache = caches.get("factor").expect("factor cache section");
+        assert_eq!(factor_cache.get("hits").and_then(Json::as_u64), Some(2));
         assert_eq!(
             factor_cache.get("policy").and_then(Json::as_str),
             Some("LRU")

@@ -136,9 +136,9 @@ pub struct WorkerSummary {
 /// worker death); everything else is counted and survived.
 pub fn run_worker(transport: &dyn Transport, options: &WorkerOptions) -> WorkerSummary {
     let engine = Engine::new();
-    // Two entries: the common case is every task of the current job sharing
-    // one configuration, with one slot of slack for back-to-back jobs.
-    let plans = PlanCache::new(2, None);
+    // Every task of the current job shares one configuration, so the
+    // default budget holds the job's plan and those of back-to-back jobs.
+    let plans = PlanCache::default();
     let mut summary = WorkerSummary::default();
     let mut idle_streak = 0u32;
     loop {

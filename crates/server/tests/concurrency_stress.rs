@@ -15,7 +15,7 @@ use std::time::Duration;
 use distrib::{contribution_frame, ClaimReply, ClusterStats, Contribution, JobRegistry, JobSpec};
 use engine::prelude::*;
 use engine::PlanCache;
-use server::factors::FactorCache;
+use server::factors::{FactorCache, FactorCacheConfig};
 
 const THREADS: usize = 6;
 
@@ -27,7 +27,7 @@ fn banded_config(n: usize, seed: u64) -> EngineConfig {
 #[cfg_attr(miri, ignore = "spawns timed OS threads; tsan covers this file")]
 fn plan_cache_single_flight_survives_a_stampede() {
     let engine = Engine::new();
-    let cache = PlanCache::new(2, None);
+    let cache = PlanCache::default();
     let config = banded_config(32, 7);
 
     // Stampede: every thread asks for the same configuration at once.  The
@@ -77,7 +77,6 @@ fn factor_cache_deposits_race_lookups_and_eviction() {
     // Deposits, lookups, and LRU eviction race on a cache smaller than the
     // working set; every resolved factor must still solve correctly.
     let engine = Engine::new();
-    let cache = FactorCache::new(2);
     let factors: Vec<Arc<FactorHandle>> = (0..4)
         .map(|seed| {
             let config = banded_config(12, seed).with_numeric(true);
@@ -91,6 +90,13 @@ fn factor_cache_deposits_race_lookups_and_eviction() {
             Arc::new(handle.unwrap())
         })
         .collect();
+    // Room for about two of the four factors.
+    let budget = 2 * factors.iter().map(|f| f.approx_heap_bytes()).max().unwrap();
+    let cache = FactorCache::with_config(FactorCacheConfig {
+        bytes_capacity: budget,
+        ..FactorCacheConfig::default()
+    })
+    .unwrap();
 
     std::thread::scope(|scope| {
         for worker in 0..THREADS {
@@ -114,8 +120,13 @@ fn factor_cache_deposits_race_lookups_and_eviction() {
     });
 
     let stats = cache.stats();
-    assert!(stats.entries <= 2, "over capacity: {}", stats.entries);
+    assert!(
+        stats.bytes_used <= budget,
+        "over capacity: {}",
+        stats.bytes_used
+    );
     assert!(stats.hits + stats.misses > 0);
+    cache.validate_accounting().unwrap();
 }
 
 #[test]

@@ -34,10 +34,21 @@ fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
         .map(|(_, v)| v.as_str())
 }
 
-fn grid_config(nodes: usize, seed: u64) -> String {
+fn grid_engine_config(nodes: usize, seed: u64) -> EngineConfig {
     EngineConfig::generated(ProblemKind::Grid2d, nodes, seed)
         .with_memory(MemoryBudget::FractionOfPeak(0.5))
-        .to_json()
+}
+
+fn grid_config(nodes: usize, seed: u64) -> String {
+    grid_engine_config(nodes, seed).to_json()
+}
+
+/// The `caches.{name}` section of a `/stats` document.
+fn cache_section<'s>(stats: &'s Json, name: &str) -> &'s Json {
+    stats
+        .get("caches")
+        .and_then(|c| c.get(name))
+        .unwrap_or_else(|| panic!("/stats has no caches.{name}"))
 }
 
 fn spawn_default() -> server::ServerHandle {
@@ -55,8 +66,42 @@ fn healthz_and_stats_over_tcp() {
     let stats = Json::parse(&body).expect("stats is JSON");
     assert_eq!(
         stats.get("schema").and_then(Json::as_str),
-        Some("engine_server_stats/v1")
+        Some("engine_server_stats/v2")
     );
+    handle.shutdown().expect("clean shutdown");
+}
+
+/// The default configuration sizes both caches in bytes under LRU, and
+/// `/stats` reports them only inside the versioned `caches` object.
+#[test]
+fn default_caches_are_byte_budgeted_lru() {
+    let handle = spawn_default();
+    let (_, _, body) = get(handle.addr(), "/stats");
+    let stats = Json::parse(&body).expect("stats is JSON");
+    assert!(
+        stats.get("cache").is_none(),
+        "top-level cache section is gone"
+    );
+    assert!(
+        stats.get("factor_cache").is_none(),
+        "top-level factor_cache is gone"
+    );
+    assert_eq!(
+        stats
+            .get("caches")
+            .and_then(|c| c.get("schema"))
+            .and_then(Json::as_str),
+        Some("engine_server_caches/v2")
+    );
+    for (name, bytes) in [("plan", 1u64 << 30), ("factor", 512 << 20)] {
+        let section = cache_section(&stats, name);
+        assert_eq!(section.get("policy").and_then(Json::as_str), Some("LRU"));
+        assert_eq!(
+            section.get("bytes_capacity").and_then(Json::as_u64),
+            Some(bytes),
+            "caches.{name}.bytes_capacity"
+        );
+    }
     handle.shutdown().expect("clean shutdown");
 }
 
@@ -101,7 +146,7 @@ fn plan_schedule_report_share_the_cache() {
     }
     let (_, _, stats_body) = get(handle.addr(), "/stats");
     let stats = Json::parse(&stats_body).unwrap();
-    let cache = stats.get("cache").expect("cache section");
+    let cache = cache_section(&stats, "plan");
     assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(2));
     assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(1));
     handle.shutdown().expect("clean shutdown");
@@ -169,8 +214,29 @@ fn oversized_bodies_are_rejected_with_413() {
 
 #[test]
 fn capacity_evictions_show_up_in_stats() {
+    // A budget that holds any two consecutive plans of the sequence but no
+    // three, from the plans' measured footprints.
+    let engine = Engine::new();
+    let bytes: Vec<u64> = (0..4)
+        .map(|seed| {
+            engine
+                .plan(&grid_engine_config(100, seed))
+                .expect("probe plan")
+                .approx_heap_bytes()
+        })
+        .collect();
+    let budget = bytes.windows(2).map(|w| w[0] + w[1]).max().unwrap();
+    let min_three = bytes
+        .windows(3)
+        .map(|w| w.iter().sum::<u64>())
+        .min()
+        .unwrap();
+    assert!(budget < min_three, "plan footprints too uneven: {bytes:?}");
     let handle = Server::spawn(ServerConfig {
-        cache_capacity: 2,
+        cache: server::CacheSettings {
+            plan_bytes: budget,
+            ..server::CacheSettings::default()
+        },
         ..ServerConfig::default()
     })
     .unwrap();
@@ -180,7 +246,7 @@ fn capacity_evictions_show_up_in_stats() {
     }
     let (_, _, stats_body) = get(handle.addr(), "/stats");
     let stats = Json::parse(&stats_body).unwrap();
-    let cache = stats.get("cache").unwrap();
+    let cache = cache_section(&stats, "plan");
     assert_eq!(cache.get("entries").and_then(Json::as_u64), Some(2));
     assert_eq!(cache.get("evictions").and_then(Json::as_u64), Some(2));
     handle.shutdown().expect("clean shutdown");
@@ -202,9 +268,8 @@ fn ttl_expiry_forces_a_replan() {
     let (_, _, stats_body) = get(handle.addr(), "/stats");
     let stats = Json::parse(&stats_body).unwrap();
     assert_eq!(
-        stats
-            .get("cache")
-            .and_then(|c| c.get("expirations"))
+        cache_section(&stats, "plan")
+            .get("expirations")
             .and_then(Json::as_u64),
         Some(1)
     );
@@ -236,9 +301,8 @@ fn concurrent_clients_all_get_answers() {
     let (_, _, stats_body) = get(addr, "/stats");
     let stats = Json::parse(&stats_body).unwrap();
     // 4 distinct configurations, 16 requests: at least 12 cache hits.
-    let hits = stats
-        .get("cache")
-        .and_then(|c| c.get("hits"))
+    let hits = cache_section(&stats, "plan")
+        .get("hits")
         .and_then(Json::as_u64)
         .unwrap();
     assert!(hits >= 12, "only {hits} cache hits");
@@ -319,68 +383,8 @@ fn solve_round_trips_over_tcp() {
     // The factor cache shows up in /stats.
     let (_, _, stats_body) = get(handle.addr(), "/stats");
     let stats = Json::parse(&stats_body).unwrap();
-    let factor_cache = stats.get("factor_cache").expect("factor_cache section");
+    let factor_cache = cache_section(&stats, "factor");
     assert_eq!(factor_cache.get("hits").and_then(Json::as_u64), Some(1));
-    handle.shutdown().expect("clean shutdown");
-}
-
-/// Compat pin: scripts and dashboards predating the byte-budget redesign
-/// parse the top-level `cache` / `factor_cache` objects; the versioned
-/// `caches` object rides alongside, never instead.
-#[test]
-fn stats_keeps_legacy_cache_fields_alongside_versioned_caches() {
-    let handle = spawn_default();
-    let config = grid_config(150, 41);
-    // One cold plan and one repeat, so the plan cache records both kinds.
-    for _ in 0..2 {
-        let (status, _, body) = post(handle.addr(), "/plan", &config);
-        assert_eq!(status, 200, "{body}");
-    }
-    let (_, _, body) = get(handle.addr(), "/stats");
-    let stats = Json::parse(&body).expect("stats is JSON");
-
-    // The pre-redesign top-level fields, exactly where they always were.
-    let cache = stats.get("cache").expect("legacy cache section");
-    for field in [
-        "hits",
-        "misses",
-        "evictions",
-        "expirations",
-        "entries",
-        "capacity",
-    ] {
-        assert!(
-            cache.get(field).and_then(Json::as_u64).is_some(),
-            "legacy cache.{field} went missing"
-        );
-    }
-    assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(1));
-    let factor = stats
-        .get("factor_cache")
-        .expect("legacy factor_cache section");
-    for field in ["hits", "misses", "evictions", "entries", "capacity"] {
-        assert!(
-            factor.get(field).and_then(Json::as_u64).is_some(),
-            "legacy factor_cache.{field} went missing"
-        );
-    }
-
-    // The versioned object: per-cache policy, byte accounting, tenants.
-    let caches = stats.get("caches").expect("caches section");
-    assert_eq!(
-        caches.get("schema").and_then(Json::as_str),
-        Some("engine_server_caches/v1")
-    );
-    let plan = caches.get("plan").expect("caches.plan");
-    assert!(plan.get("policy").and_then(Json::as_str).is_some());
-    assert_eq!(plan.get("hits").and_then(Json::as_u64), Some(1));
-    assert!(plan.get("bytes_used").and_then(Json::as_u64).unwrap() > 0);
-    let public = plan
-        .get("tenants")
-        .and_then(|t| t.get("public"))
-        .expect("default tenant usage");
-    assert_eq!(public.get("hits").and_then(Json::as_u64), Some(1));
-    assert!(caches.get("factor").is_some());
     handle.shutdown().expect("clean shutdown");
 }
 
@@ -399,11 +403,11 @@ fn tenant_quotas_and_floor_hold_over_http() {
     let quota = plan_bytes * 6;
     let handle = Server::spawn(ServerConfig {
         cache: server::CacheSettings {
-            policy: Some("GDSF".to_string()),
-            plan_bytes: Some(plan_bytes * 16),
-            factor_bytes: None,
+            policy: "GDSF".to_string(),
+            plan_bytes: plan_bytes * 16,
             tenant_quota_bytes: Some(quota),
             tenant_floor: 0.3,
+            ..server::CacheSettings::default()
         },
         ..ServerConfig::default()
     })
